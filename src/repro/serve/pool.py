@@ -176,6 +176,24 @@ class SharedFramePool:
         """True when every frame is pinned: no free, nothing reclaimable."""
         return not self._free and not len(self._evictor)
 
+    def can_acquire(self, key: Hashable) -> bool:
+        """Whether :meth:`acquire` of ``key`` would succeed, not raise.
+
+        True when the content is cached (pinned or revivable) or a frame
+        is free or reclaimable.  A self-evicting caller asks before each
+        attempt instead of catching :class:`~repro.errors.OutOfMemory`.
+        """
+        return key in self._frame_of or not self.is_exhausted()
+
+    def can_cow_break(self, shared_key: Hashable) -> bool:
+        """Whether :meth:`cow_break` of ``shared_key`` would find a frame.
+
+        True when a frame is free or reclaimable, or when the writer is
+        the content's sole holder: the break itself makes that frame
+        reclaimable.
+        """
+        return self._refs.get(shared_key) == 1 or not self.is_exhausted()
+
     # -- the serving operations --------------------------------------------
 
     def acquire(

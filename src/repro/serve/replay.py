@@ -9,6 +9,8 @@ region — so a tenant faulting on content another tenant already holds
 attaches to the resident frame (a *share*: no fetch), and content still
 cached zero-ref in the freed-dedup pool is revived by identity (a
 *dedup hit*: no fetch).  Writes to shared pages break copy-on-write.
+Each tenant steps through a :class:`~repro.serve.stepper.TenantStepper`,
+the one per-reference step the traffic tier uses too.
 
 The differential contract this driver is pinned to
 (``tests/test_serve_differential.py``, 100 seeds): at sharing degree 1
@@ -26,13 +28,14 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Sequence
 
+from repro.errors import OutOfMemory
 from repro.observe.counters import Counters
-from repro.observe.events import Evict, Fault
 from repro.observe.telemetry.registry import TelemetryRegistry
 from repro.observe.tracer import Tracer
 from repro.paging.replacement.base import ReplacementPolicy
 from repro.paging.simulate import SimulationResult, record_replay_telemetry
 from repro.serve.pool import ServeStats, SharedFramePool
+from repro.serve.stepper import STALL, TenantStepper
 from repro.serve.tenant import TenantView
 
 
@@ -124,7 +127,10 @@ def simulate_shared(
     pool_frames:
         Physical frames in the pool; defaults to ``frames × tenants``
         (no overcommit).  Smaller values overcommit: sharing is then
-        what keeps the pool from exhaustion.
+        what keeps the pool from exhaustion.  A tenant whose step finds
+        every frame pinned evicts its own pages until the pool yields
+        one; :class:`~repro.errors.OutOfMemory` is raised only when it
+        has no page left to give.
     writes:
         Optional per-tenant write flags aligned with the traces; writes
         to shared pages break copy-on-write.
@@ -178,10 +184,24 @@ def simulate_shared(
         TenantView(pool, f"t{index}", quota=frames, shared_pages=shared_pages)
         for index in range(tenants)
     ]
-    policies = [policy_factory(index) for index in range(tenants)]
-    # Tenant labels ride the events only in actual multi-tenant runs, so
-    # the degree-1 event stream stays byte-identical to the unshared one.
-    labels = [f"t{index}" if tenants > 1 else None for index in range(tenants)]
+    steppers = [
+        TenantStepper(
+            views[index],
+            policy_factory(index),
+            traces[index],
+            writes[index] if writes is not None else None,
+            ordered=not (tracing or counting or checked),
+            # Tenant labels ride the events only in actual multi-tenant
+            # runs, so the degree-1 event stream stays byte-identical to
+            # the unshared one.
+            label=f"t{index}" if tenants > 1 else None,
+            tracer=tracer if tracing else None,
+            counters=counters if counting else None,
+            record_positions=record_positions,
+            record_evictions=record_evictions,
+        )
+        for index in range(tenants)
+    ]
 
     suite = None
     if checked:
@@ -189,86 +209,23 @@ def simulate_shared(
 
         suite = InvariantSuite()
 
-    faults = [0] * tenants
-    cold_faults = [0] * tenants
-    evictions = [0] * tenants
-    seen: list[set[Hashable]] = [set() for _ in range(tenants)]
-    positions: list[list[int]] = [[] for _ in range(tenants)]
-    victims: list[list[Hashable]] = [[] for _ in range(tenants)]
     shared_cycles = 0
     private_cycles = 0
-
     longest = max(len(trace) for trace in traces)
     step = 0
     for index in range(longest):
-        for tenant in range(tenants):
-            trace = traces[tenant]
-            if index >= len(trace):
+        for stepper in steppers:
+            if index >= len(stepper.trace):
                 continue
             if suite is not None and step % 64 == 0:
                 suite.check_all([pool, *views])
             step += 1
             pool.now = index
-            page = trace[index]
-            write = bool(writes[tenant][index]) if writes is not None else False
-            view = views[tenant]
-            policy = policies[tenant]
-            label = labels[tenant]
-            if page in view:
-                if write:
-                    new_frame = view.note_write(page)
-                    if new_frame is not None and counting:
-                        counters.increment("serve.cow_breaks")
-                        if tenants > 1:
-                            counters.increment(
-                                f"serve.tenant.{label}.cow_breaks"
-                            )
-                policy.on_access(page, index, modified=write)
-            else:
-                faults[tenant] += 1
-                cold = page not in seen[tenant]
-                if cold:
-                    cold_faults[tenant] += 1
-                    seen[tenant].add(page)
-                if counting:
-                    counters.increment("replay.faults")
-                    if cold:
-                        counters.increment("replay.cold_faults")
-                    if tenants > 1:
-                        counters.increment(f"serve.tenant.{label}.faults")
-                if tracing:
-                    tracer.emit(Fault(
-                        time=index, unit=page, write=write, program=label,
-                    ))
-                if record_positions:
-                    positions[tenant].append(index)
-                if view.is_full():
-                    victim = policy.choose_victim(
-                        view.resident_pages(), index
-                    )
-                    if victim not in view:
-                        raise RuntimeError(
-                            f"policy {policy.name} chose non-resident "
-                            f"victim {victim!r}"
-                        )
-                    view.release(victim)
-                    policy.on_evict(victim)
-                    evictions[tenant] += 1
-                    if counting:
-                        counters.increment("replay.evictions")
-                    if tracing:
-                        tracer.emit(Evict(
-                            time=index, unit=victim, program=label,
-                        ))
-                    if record_evictions:
-                        victims[tenant].append(victim)
-                _, hit = view.acquire_detail(page)
-                if counting and hit is not None:
-                    name = "shares" if hit == "share" else "dedup_hits"
-                    counters.increment(f"serve.{name}")
-                    if tenants > 1:
-                        counters.increment(f"serve.tenant.{label}.{name}")
-                policy.on_load(page, index, modified=write)
+            if stepper.advance(1)[1] is STALL:
+                raise OutOfMemory(
+                    1, f"all {pool_frames} frames are pinned and tenant "
+                       f"{stepper.view.tenant} has no page left to evict"
+                )
         # Space-time, both ways of counting it: what the consolidated
         # pool holds vs. what the tenants' views add up to.  One shared
         # frame referenced by k tenants costs 1 in the pool and k in the
@@ -284,16 +241,16 @@ def simulate_shared(
         )
     results = [
         SimulationResult(
-            policy=policies[tenant].name,
+            policy=stepper.policy.name,
             frames=frames,
-            references=len(traces[tenant]),
-            faults=faults[tenant],
-            evictions=evictions[tenant],
-            cold_faults=cold_faults[tenant],
-            fault_positions=positions[tenant],
-            victims=victims[tenant],
+            references=len(stepper.trace),
+            faults=stepper.faults,
+            evictions=stepper.evictions,
+            cold_faults=stepper.cold_faults,
+            fault_positions=stepper.fault_positions,
+            victims=stepper.victims,
         )
-        for tenant in range(tenants)
+        for stepper in steppers
     ]
     shared_result = SharedReplayResult(
         sharing=tenants,

@@ -25,12 +25,15 @@ the sweep engine: any worker count, any completion order, and a
 
 Overcommit and progress
 -----------------------
-With ``overcommit > 1`` the quota ledger can promise more than the
-pool holds, so an acquire can find every frame pinned.  The engine
-then *self-evicts*: the faulting session gives up one of its own
-resident pages and retries, which guarantees global progress (some
-registered view always holds a pinned frame).  A session with nothing
-left to give stalls one tick and retries — counted, never fatal.
+Each session is a :class:`~repro.serve.stepper.TenantStepper`, the one
+per-reference step the serving tier's shared replay uses too.  With
+``overcommit > 1`` the quota ledger can promise more than the pool
+holds, so an acquire can find every frame pinned.  The stepper then
+*self-evicts*: the faulting session gives up its own resident pages
+until the pool yields a frame.  That guarantees global progress: if
+every session stripped itself bare, all refcounts would be zero and no
+acquire could fail.  A session with nothing left to give stalls one
+tick and retries — counted, never fatal.
 """
 
 from __future__ import annotations
@@ -44,10 +47,10 @@ from pathlib import Path
 from random import Random
 from typing import Callable, Iterable
 
-from repro.errors import OutOfMemory
 from repro.observe.sinks import read_jsonl_records
 from repro.observe.telemetry.registry import TelemetryRegistry
 from repro.observe.telemetry.sketch import LogHistogram
+from repro.serve.stepper import FETCH
 from repro.sweep.engine import deterministic_telemetry
 from repro.sweep.grid import derive_seed
 from repro.traffic.admission import (
@@ -349,14 +352,25 @@ def simulate_traffic(
                 break
 
         # -- serve each active session one tick ---------------------------
+        # Each runnable session steps up to refs_per_tick references or
+        # until its first hard fetch.  A hard fetch serializes on the
+        # backing device: the wait is the queueing delay plus the
+        # transfer — the open system's tail under load — and the session
+        # *blocks* until the device delivers, so a saturated device
+        # slows its tenants (closed-loop backpressure) instead of
+        # queueing unboundedly.  A stalled session retries next tick.
         finished: list[ActiveSession] = []
         for session in active:
             if session.blocked_until > tick:
                 continue   # still waiting on its fetch
-            device_free_at = _serve_tick(
-                session, tick, refs_per_tick, fetch_time, device_free_at,
-                pool, result,
-            )
+            served, stop = session.advance(refs_per_tick)
+            result.refs += served
+            if stop is FETCH:
+                now = tick * refs_per_tick + served
+                done_at = max(now, device_free_at) + fetch_time
+                device_free_at = done_at
+                result.fault_wait.observe(done_at - now)
+                session.blocked_until = -(-done_at // refs_per_tick)
             if session.done:
                 finished.append(session)
         for session in finished:
@@ -365,6 +379,10 @@ def simulate_traffic(
             pool.unregister_view(session.view)
             committed -= session.spec.quota
             result.completed += 1
+            result.faults += session.faults
+            result.fetches += session.fetches
+            result.evictions += session.evictions
+            result.stalls += session.stalls
             active.remove(session)
 
         result.max_active = max(result.max_active, len(active))
@@ -385,136 +403,6 @@ def simulate_traffic(
     result.cow_breaks = stats.cow_breaks
     _record_telemetry(telemetry, result)
     return result
-
-
-def _serve_tick(
-    session: ActiveSession,
-    tick: int,
-    refs_per_tick: int,
-    fetch_time: int,
-    device_free_at: int,
-    pool,
-    result: TrafficPointResult,
-) -> int:
-    """Advance one session up to ``refs_per_tick`` references or its
-    first hard fetch; returns the updated device clock."""
-    view = session.view
-    policy = session.policy
-    served = 0
-    while served < refs_per_tick and not session.done:
-        position = session.position
-        page = session.trace[position]
-        write = session.writes[position]
-        if page in view:
-            if write:
-                if not _note_write_evicting(
-                    session, page, position, result
-                ):
-                    break   # stalled: retry this reference next tick
-            policy.on_access(page, position, modified=write)
-            session.position += 1
-            served += 1
-            result.refs += 1
-            continue
-        # A fault against this session's view.
-        if view.is_full():
-            victim = policy.choose_victim(view.resident_pages(), position)
-            view.release(victim)
-            policy.on_evict(victim)
-            result.evictions += 1
-        hit = _acquire_evicting(session, page, position, result)
-        if hit is _STALLED:
-            break   # stalled: retry this reference next tick
-        policy.on_load(page, position, modified=write)
-        session.position += 1
-        served += 1
-        result.refs += 1
-        result.faults += 1
-        session.faults += 1
-        if hit is None:
-            # Hard fetch: serialize on the backing device.  The wait is
-            # the queueing delay plus the transfer — the open system's
-            # tail under load — and the session *blocks* until the
-            # device delivers, so a saturated device slows its tenants
-            # (closed-loop backpressure) instead of queueing unboundedly.
-            now = tick * refs_per_tick + served
-            start = max(now, device_free_at)
-            done_at = start + fetch_time
-            device_free_at = done_at
-            result.fault_wait.observe(done_at - now)
-            result.fetches += 1
-            session.fetches += 1
-            session.blocked_until = -(-done_at // refs_per_tick)
-            break   # the fetch consumes the rest of this tick
-    return device_free_at
-
-
-#: Sentinel ``_acquire_evicting`` returns when the session must stall
-#: (distinct from every real hit kind, including None).
-_STALLED = object()
-
-
-def _acquire_evicting(
-    session: ActiveSession, page, position: int, result: TrafficPointResult
-):
-    """Acquire ``page``, self-evicting until the pool yields a frame.
-
-    Under overcommit every frame can be pinned when a session faults.
-    Releasing one of the session's own pages does not always free a
-    frame — a victim mapping shared content still pinned by other
-    tenants only drops a refcount — so the self-eviction loops until
-    the acquire succeeds or the view has nothing left to give.  The
-    empty-handed case returns :data:`_STALLED`: the session retries the
-    same reference next tick, by which time some other session has
-    completed and released (if *every* session stripped itself bare,
-    all refcounts would be zero and the acquire could not fail — so
-    global progress is guaranteed).
-    """
-    view = session.view
-    policy = session.policy
-    try:
-        return view.acquire_detail(page)[1]
-    except OutOfMemory:
-        pass
-    while view.resident_count:
-        victim = policy.choose_victim(view.resident_pages(), position)
-        view.release(victim)
-        policy.on_evict(victim)
-        result.evictions += 1
-        try:
-            return view.acquire_detail(page)[1]
-        except OutOfMemory:
-            continue
-    result.stalls += 1
-    return _STALLED
-
-
-def _note_write_evicting(
-    session: ActiveSession, page, position: int, result: TrafficPointResult
-) -> bool:
-    """CoW-break ``page``, self-evicting other pages for the private
-    frame; False when the session must stall (nothing left to give)."""
-    view = session.view
-    policy = session.policy
-    try:
-        view.note_write(page)
-        return True
-    except OutOfMemory:
-        pass
-    while True:
-        others = [p for p in view.resident_pages() if p != page]
-        if not others:
-            result.stalls += 1
-            return False
-        victim = policy.choose_victim(others, position)
-        view.release(victim)
-        policy.on_evict(victim)
-        result.evictions += 1
-        try:
-            view.note_write(page)
-            return True
-        except OutOfMemory:
-            continue
 
 
 def _record_telemetry(

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.serve.stepper import TenantStepper
 from repro.serve.tenant import TenantView
 
 if TYPE_CHECKING:
@@ -89,30 +90,23 @@ class SessionSpec:
         ))
 
 
-class ActiveSession:
-    """A materialized session making progress over the shared pool."""
+class ActiveSession(TenantStepper):
+    """A materialized session making progress over the shared pool.
 
-    __slots__ = ("spec", "view", "policy", "trace", "writes", "position",
-                 "admitted_at", "blocked_until", "faults", "fetches")
+    The session *is* its tenant stepper (:mod:`repro.serve.stepper`),
+    plus the admission and backpressure state the engine keeps.
+    """
+
+    __slots__ = ("spec", "admitted_at", "blocked_until")
 
     def __init__(self, spec: SessionSpec, view: TenantView, policy,
                  trace: list[int], writes: list[bool]) -> None:
+        super().__init__(view, policy, trace, writes)
         self.spec = spec
-        self.view = view
-        self.policy = policy
-        self.trace = trace
-        self.writes = writes
-        self.position = 0
         self.admitted_at = -1
         self.blocked_until = 0
         """First tick the session may run again after a hard fetch —
         the backpressure that makes device saturation slow tenants."""
-        self.faults = 0
-        self.fetches = 0
-
-    @property
-    def done(self) -> bool:
-        return self.position >= len(self.trace)
 
     def __repr__(self) -> str:
         return (

@@ -17,6 +17,7 @@ from one reproducible stream without touching the module-global
 
 from __future__ import annotations
 
+import operator
 import random
 from array import array
 from collections.abc import Sequence
@@ -235,13 +236,38 @@ def iter_phased(
         raise ValueError("locality must be a probability")
     generator = _resolve_rng(rng, seed)
     current_set = generator.sample(range(pages), working_set)
+    if type(generator) is not random.Random:
+        # A subclass may override any draw: keep the method calls.
+        for index in range(length):
+            if index and index % phase_length == 0:
+                current_set = generator.sample(range(pages), working_set)
+            if generator.random() < locality:
+                yield generator.choice(current_set)
+            else:
+                yield generator.randrange(pages)
+        return
+    # Exactly random.Random: choice(seq) and randrange(n) both reduce to
+    # _randbelow(n), which draws k = n.bit_length() bits and redraws
+    # while the draw is >= n.  Inlined here, the stream is the same.
+    draw = generator.random
+    getrandbits = generator.getrandbits
+    pages = operator.index(pages)
+    page_bits = pages.bit_length()
+    working_set = operator.index(working_set)
+    set_bits = working_set.bit_length()
     for index in range(length):
         if index and index % phase_length == 0:
             current_set = generator.sample(range(pages), working_set)
-        if generator.random() < locality:
-            yield generator.choice(current_set)
+        if draw() < locality:
+            slot = getrandbits(set_bits)
+            while slot >= working_set:
+                slot = getrandbits(set_bits)
+            yield current_set[slot]
         else:
-            yield generator.randrange(pages)
+            page = getrandbits(page_bits)
+            while page >= pages:
+                page = getrandbits(page_bits)
+            yield page
 
 
 def phased_trace(

@@ -217,3 +217,53 @@ class TestInvariants:
         pool._free.append(pool.frame_of("a"))   # free a pinned frame
         with pytest.raises(AssertionError):
             pool.check_invariants()
+
+
+class TestSelfEvictPredicates:
+    """``can_acquire`` / ``can_cow_break`` agree with whether the call
+    would raise, on seeded random walks through a small pool."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_predicates_match_the_calls(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        pool = SharedFramePool(4)
+        held: list = []          # one entry per reference taken
+        serial = 0
+        for _ in range(300):
+            roll = rng.random()
+            shared = [key for key in held if key[0] == "shared"]
+            if roll < 0.5:
+                key = ("shared", rng.randrange(8))
+                expected = pool.can_acquire(key)
+                try:
+                    pool.acquire(key)
+                except OutOfMemory:
+                    assert not expected
+                else:
+                    assert expected
+                    held.append(key)
+            elif roll < 0.65 and shared:
+                key = rng.choice(shared)
+                serial += 1
+                private = ("t", "cow", serial)
+                expected = pool.can_cow_break(key)
+                try:
+                    pool.cow_break(key, private)
+                except OutOfMemory:
+                    assert not expected
+                else:
+                    assert expected
+                    held.remove(key)
+                    held.append(private)
+            elif held:
+                pool.release(held.pop(rng.randrange(len(held))))
+            pool.check_invariants()
+
+    def test_cached_content_is_acquirable_when_exhausted(self):
+        pool = SharedFramePool(1)
+        pool.acquire("a")
+        assert pool.is_exhausted()
+        assert pool.can_acquire("a")       # a share needs no frame
+        assert not pool.can_acquire("b")
