@@ -35,7 +35,7 @@
                              ``bench --trace-file``.
 ``python -m repro top``      renders the live telemetry dashboard —
                              counters, gauges and quantile sketches —
-                             from a running sweep's heartbeat file or a
+                             from a running campaign's heartbeat file or a
                              built-in demo run (see
                              :mod:`repro.observe.telemetry.cli`).
 ``python -m repro metrics-export`` writes a telemetry snapshot as
@@ -48,7 +48,9 @@
                              throughput and p50/p99 queue/fault waits
                              along an offered-load axis (see
                              :mod:`repro.traffic`; accepts ``--quick``,
-                             ``--live``, ``--resume``, ``--compare``).
+                             ``--live``, ``--resume``, ``--compare`` and
+                             the sweep's ``--workers``, ``--transport``,
+                             ``--canon``).
 """
 
 from __future__ import annotations

@@ -5,16 +5,17 @@ into the dashboard frame (``top``) or OpenMetrics text
 (``metrics-export``).  The snapshot source is either:
 
 - ``--snapshot FILE`` — a JSON file holding a registry snapshot, or a
-  sweep heartbeat file (``<results>.telemetry.json``, written by
-  ``run_sweep`` as shards land) whose ``telemetry`` field is one; or
+  campaign heartbeat file (``<results>.telemetry.json``, written by
+  :func:`repro.sweep.engine.run_specs` as a sweep's shards or a traffic
+  campaign's points land) whose ``telemetry`` field is one; or
 - nothing — a built-in deterministic demo workload (a drum-backed
   demand pager, a fast replay, and a three-tenant shared pool, all
   seeded) runs on the spot, so both commands work on a bare checkout
   and in CI with no prior campaign.
 
 ``top`` follows a heartbeat file: with ``--snapshot`` and no ``--once``
-it re-reads and redraws every ``--interval`` seconds while a sweep in
-another process appends shards.  Without a TTY each frame appends as
+it re-reads and redraws every ``--interval`` seconds while a campaign
+in another process appends records.  Without a TTY each frame appends as
 plain text (see :class:`~repro.observe.telemetry.dashboard.LiveRenderer`).
 """
 
@@ -99,7 +100,7 @@ def demo_registry(seed: int = 1967) -> TelemetryRegistry:
 def load_snapshot(path: str) -> tuple[dict, dict]:
     """``(snapshot, header)`` from a snapshot or heartbeat JSON file.
 
-    A heartbeat file (``run_sweep``'s per-shard progress record) carries
+    A heartbeat file (a campaign's per-record progress beat) carries
     the registry snapshot under ``telemetry`` plus progress fields,
     which come back as the header; a bare snapshot has no header.
     """
@@ -127,7 +128,7 @@ def build_top_parser() -> argparse.ArgumentParser:
                     "snapshot/heartbeat file)",
     )
     parser.add_argument("--snapshot", metavar="FILE",
-                        help="render this snapshot or sweep heartbeat "
+                        help="render this snapshot or campaign heartbeat "
                              "file instead of the demo workload")
     parser.add_argument("--once", action="store_true",
                         help="render one frame and exit")

@@ -28,11 +28,11 @@ from .sketch import LogHistogram
 SUMMARY_QUANTILES = (0.50, 0.90, 0.99)
 
 #: Heartbeat ``state`` values that mean the campaign is over.  The
-#: sweep engine stamps one of these from its ``finally`` block
-#: (``finished`` = ran to completion, failed shards included;
-#: ``aborted`` = the coordinator died mid-campaign), and a follower
-#: (``top --snapshot``) must stop polling when it sees one — a dead
-#: campaign's heartbeat never changes again.
+#: campaign core (sweeps and traffic) stamps one of these from its
+#: ``finally`` block (``finished`` = ran to completion, failed specs
+#: included; ``aborted`` = the coordinator died mid-campaign), and a
+#: follower (``top --snapshot``) must stop polling when it sees one — a
+#: dead campaign's heartbeat never changes again.
 TERMINAL_STATES = ("finished", "aborted")
 
 

@@ -19,11 +19,12 @@ package executes such campaigns:
   ``inline``, a local process pool with broken-worker detection, and
   asyncio stdio workers (``python -m repro.sweep.worker``) reached as
   subprocesses or over SSH, all with bounded retry on transport loss.
-- :mod:`repro.sweep.engine` — :func:`run_sweep` fans shards over a
-  transport, appends each record to a resumable ``SWEEP_results.jsonl``
-  through the torn-line-proof
-  :class:`~repro.sweep.checkpoint.CheckpointWriter`, and merges every
-  shard's counters into one run-wide registry.
+- :mod:`repro.sweep.engine` — ``run_specs``, the one campaign runner
+  (sweeps and traffic), fans specs over a transport, appends each
+  record to a resumable results file through the torn-line-proof
+  :class:`~repro.sweep.checkpoint.CheckpointWriter`, heartbeats, and
+  merges every record's counters and telemetry; :func:`run_sweep`
+  feeds it a grid's shards.
 - :mod:`repro.sweep.scaling` — finite-size-scaling reductions:
   power-law fits of a metric against an axis, per machine preset
   (the ``EXPERIMENTS.md`` §SCALE study).
@@ -41,7 +42,7 @@ and diffed byte-for-byte in CI).
 """
 
 from repro.sweep.checkpoint import CheckpointWriter, canonical_lines
-from repro.sweep.engine import SweepResult, read_results, run_sweep
+from repro.sweep.engine import CampaignResult, read_results, run_sweep
 from repro.sweep.grid import (
     Shard,
     SweepGrid,
@@ -58,11 +59,11 @@ from repro.sweep.shard import run_shard
 from repro.sweep.transport import Transport, make_transport
 
 __all__ = [
+    "CampaignResult",
     "CheckpointWriter",
     "PowerLawFit",
     "Shard",
     "SweepGrid",
-    "SweepResult",
     "Transport",
     "canonical_lines",
     "default_grid",

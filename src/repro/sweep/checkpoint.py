@@ -1,6 +1,7 @@
 """The hardened checkpoint seam: torn-line-proof JSONL appends.
 
-``SWEEP_results.jsonl`` is the campaign's only durable state, so a
+A campaign's results file (``SWEEP_results.jsonl``,
+``TRAFFIC_results.jsonl``) is its only durable state, so a
 record append must be all-or-nothing under the two hazards the engine
 actually faces: an interrupt (^C mid-campaign) and concurrent appends
 (two transports landing records on one file).  A buffered file handle
@@ -22,9 +23,9 @@ treat as damage.
 
 A torn line can still *arrive* — a crash mid-``os.write`` on a weird
 filesystem, a hand edit, a disk-full truncation — which is why the
-read side (:func:`repro.sweep.engine.read_results`) counts and skips
+read side (:func:`repro.sweep.engine.read_records`) counts and skips
 damaged lines instead of trusting the writer: resume re-executes
-exactly the shards whose lines did not survive.
+exactly the specs whose lines did not survive.
 """
 
 from __future__ import annotations
@@ -35,20 +36,23 @@ from pathlib import Path
 from typing import Iterable
 
 from repro.observe.telemetry.registry import WALL_CLOCK_SUFFIX
+from repro.sweep.transport.base import spec_id
 
 #: Fields excluded when comparing records for bit-identity: wall time is
-#: measured, not derived, and is the record's one nondeterministic field.
-#: The ``telemetry`` snapshot is *partly* deterministic, so
-#: ``strip_nondeterministic`` reduces it rather than dropping it.
-NONDETERMINISTIC_FIELDS = ("wall_s",)
+#: measured, not derived, and a traffic point's steady-state throughput
+#: (``refs_per_s``) is derived from it; sweep records carry no
+#: ``refs_per_s``.  The ``telemetry`` snapshot is *partly*
+#: deterministic, so ``strip_nondeterministic`` reduces it rather than
+#: dropping it.
+NONDETERMINISTIC_FIELDS = ("wall_s", "refs_per_s")
 
 
 def strip_nondeterministic(record: dict) -> dict:
     """A record minus its measured-time fields — the comparable form.
 
     What the determinism tests (and any cross-run differ) should
-    compare: everything in a record except wall time is a pure function
-    of the grid.  A ``telemetry`` snapshot is reduced to its
+    compare: everything in a record except measured time is a pure
+    function of its spec.  A ``telemetry`` snapshot is reduced to its
     deterministic part (wall-clock ``*_seconds`` instruments stripped)
     rather than dropped — the sketches and counters that remain are
     pinned to be identical across runs, worker counts, and transports.
@@ -123,14 +127,15 @@ class CheckpointWriter:
 def canonical_lines(records: Iterable[dict]) -> list[str]:
     """The byte-comparable form of a campaign's records.
 
-    Sorted by shard id, measured-time fields stripped, sorted-key JSON —
-    two campaigns over the same grid must produce *identical* lists
-    whatever transport, worker count, or resume history produced them.
-    This is what ``python -m repro sweep --canon FILE`` writes and what
-    the CI transport matrix diffs byte-for-byte.
+    Sorted by id (shard or point), measured-time fields stripped,
+    sorted-key JSON — two campaigns over the same specs must produce
+    *identical* lists whatever transport, worker count, or resume
+    history produced them.  This is what ``--canon FILE`` writes (``repro
+    sweep`` and ``repro traffic`` alike) and what the CI transport
+    matrices diff byte-for-byte.
     """
     stripped = [strip_nondeterministic(record) for record in records]
-    stripped.sort(key=lambda record: record.get("shard", ""))
+    stripped.sort(key=spec_id)
     return [json.dumps(record, sort_keys=True) for record in stripped]
 
 

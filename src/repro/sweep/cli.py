@@ -10,7 +10,10 @@ boundary (inline / pool / subprocess / ``ssh:host,...`` — see
 ``docs/SWEEP.md``); records are bit-identical across all of them,
 which ``--canon FILE`` makes checkable: it writes the canonical
 sorted, wall-time-stripped record lines that two runs of the same grid
-must reproduce byte-for-byte.
+must reproduce byte-for-byte.  The runner flags (``--workers``,
+``--results``, ``--resume``, ``--transport``, ``--canon``, ``--live``,
+``--no-report``) are defined once here and shared with ``repro
+traffic``.
 
 The report is three layers: a run summary (shard counts, the greppable
 ``executed N`` line the CI resume check keys on), one marginal table per
@@ -25,11 +28,13 @@ import argparse
 import os
 import sys
 from pathlib import Path
+from typing import Callable
 
 from repro.metrics.report import format_table, kv_table
 from repro.sweep.checkpoint import canonical_lines
-from repro.sweep.engine import marginals, run_sweep
+from repro.sweep.engine import CampaignResult, marginals, run_sweep
 from repro.sweep.grid import SweepGrid, default_grid, quick_grid
+from repro.sweep.transport.base import spec_id
 
 #: Axes reported as marginal tables, in report order.
 AXES = ("machine", "replacement", "placement", "frames", "capacity",
@@ -49,26 +54,18 @@ def default_workers() -> int:
     return max(1, min(8, os.cpu_count() or 1))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro sweep",
-        description="run a deterministic policy/machine sweep campaign",
-    )
-    parser.add_argument("--grid", metavar="FILE",
-                        help="load the grid from a JSON file")
-    parser.add_argument("--quick", action="store_true",
-                        help="use the 16-shard smoke grid")
+def add_runner_arguments(parser: argparse.ArgumentParser, unit: str,
+                         results: str) -> None:
+    """The campaign-runner flags ``repro sweep`` and ``repro traffic``
+    share; ``unit`` names what a campaign runs (shards, points)."""
     parser.add_argument("--workers", type=int, default=None, metavar="N",
                         help="worker processes (default: cores, max 8)")
-    parser.add_argument("--results", default="SWEEP_results.jsonl",
-                        metavar="FILE",
+    parser.add_argument("--results", default=results, metavar="FILE",
                         help="append-only results file "
                              "(default: %(default)s)")
     parser.add_argument("--resume", action="store_true",
-                        help="skip shards already present in the "
+                        help=f"skip {unit} already present in the "
                              "results file")
-    parser.add_argument("--checked", action="store_true",
-                        help="run every shard under the invariant suite")
     parser.add_argument("--transport", default=None, metavar="NAME",
                         help="worker boundary: inline, pool, subprocess, "
                              "or ssh:HOST[,HOST...] (default: inline for "
@@ -78,11 +75,53 @@ def build_parser() -> argparse.ArgumentParser:
                              "wall-time-stripped) record lines — the "
                              "byte-comparable form of the campaign")
     parser.add_argument("--no-report", action="store_true",
-                        help="suppress the marginal tables")
+                        help="suppress the report tables")
     parser.add_argument("--live", action="store_true",
-                        help="redraw a live dashboard as shards land "
+                        help=f"redraw a live dashboard as {unit} land "
                              "(plain-text frames when stdout is not a "
                              "TTY)")
+
+
+def run_with_runner_flags(run: Callable[..., CampaignResult], target,
+                          options: argparse.Namespace,
+                          **arguments) -> CampaignResult | None:
+    """``run(target, ...)`` under the runner flags (``arguments``
+    override them); None after printing a bad flag value's ``error:``
+    (exit 2).  Writes ``--canon`` and lists failed specs on stderr."""
+    arguments = {
+        "workers": options.workers or default_workers(),
+        "results_path": options.results,
+        "resume": options.resume,
+        "transport": options.transport,
+        **arguments,
+    }
+    try:
+        result = run(target, **arguments)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return None
+    if options.canon:
+        lines = canonical_lines(result.records)
+        Path(options.canon).write_text(
+            "".join(line + "\n" for line in lines), encoding="utf-8")
+    for failure in result.failures:
+        print(f"FAILED {spec_id(failure)}: {failure['error']}",
+              file=sys.stderr)
+    return result
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro sweep",
+        description="run a deterministic policy/machine sweep campaign",
+    )
+    parser.add_argument("--grid", metavar="FILE",
+                        help="load the grid from a JSON file")
+    parser.add_argument("--quick", action="store_true",
+                        help="use the 16-shard smoke grid")
+    add_runner_arguments(parser, "shards", "SWEEP_results.jsonl")
+    parser.add_argument("--checked", action="store_true",
+                        help="run every shard under the invariant suite")
     parser.add_argument("--machines", nargs="+", metavar="NAME")
     parser.add_argument("--replacement", nargs="+", metavar="POLICY")
     parser.add_argument("--placement", nargs="+", metavar="POLICY")
@@ -125,10 +164,20 @@ def resolve_grid(options: argparse.Namespace) -> SweepGrid:
     return grid
 
 
-def _print_report(result, grid: SweepGrid) -> None:
+def summary_line(kind: str, name: str, result: CampaignResult) -> str:
+    """The greppable one-line outcome (``executed N`` is what the CI
+    resume checks key on)."""
+    return (f"{kind}: {name}  executed {result.executed}  "
+            f"skipped {result.skipped}  failed {len(result.failures)}  "
+            f"transport {result.transport}")
+
+
+def print_summary(result: CampaignResult, title: str,
+                  rows: list[tuple]) -> None:
+    """The summary table a campaign report opens with: ``rows``, then
+    the runner's counts, then a warning if the results file is damaged."""
     summary = [
-        ("grid", grid.name),
-        ("shards", grid.size),
+        *rows,
         ("executed", result.executed),
         ("skipped (resumed)", result.skipped),
         ("failed", len(result.failures)),
@@ -138,10 +187,15 @@ def _print_report(result, grid: SweepGrid) -> None:
     ]
     if result.corrupt_lines:
         summary.append(("corrupt result lines", result.corrupt_lines))
-    print(kv_table(summary, title=f"sweep: {grid.name}"))
+    print(kv_table(summary, title=title))
     if result.corrupt_lines:
         print(f"warning: skipped {result.corrupt_lines} unreadable "
               "line(s) in the results file — it may be damaged")
+
+
+def _print_report(result, grid: SweepGrid) -> None:
+    print_summary(result, f"sweep: {grid.name}",
+                  [("grid", grid.name), ("shards", grid.size)])
 
     swept = [axis for axis in AXES
              if len({record.get(axis) for record in result.records}) > 1]
@@ -166,43 +220,32 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    workers = options.workers if options.workers else default_workers()
-
     progress = None
     if options.live:
         from repro.observe.telemetry.dashboard import SweepLiveView
 
         progress = SweepLiveView(grid.name).update
 
-    try:
-        result = run_sweep(
-            grid,
-            workers=workers,
-            results_path=options.results,
-            resume=options.resume,
-            checked=options.checked,
-            progress=progress,
-            transport=options.transport,
-        )
-    except ValueError as error:   # e.g. an unknown --transport spelling
-        print(f"error: {error}", file=sys.stderr)
+    result = run_with_runner_flags(run_sweep, grid, options,
+                                   checked=options.checked,
+                                   progress=progress)
+    if result is None:
         return 2
 
-    if options.canon:
-        lines = canonical_lines(result.records)
-        Path(options.canon).write_text(
-            "".join(line + "\n" for line in lines), encoding="utf-8")
-
     if options.no_report:
-        print(f"sweep: {grid.name}  executed {result.executed}  "
-              f"skipped {result.skipped}  failed {len(result.failures)}  "
-              f"transport {result.transport}")
+        print(summary_line("sweep", grid.name, result))
     else:
         _print_report(result, grid)
-    for failure in result.failures:
-        print(f"FAILED {failure['shard']}: {failure['error']}",
-              file=sys.stderr)
     return 0 if result.ok else 1
 
 
-__all__ = ["build_parser", "default_workers", "main", "resolve_grid"]
+__all__ = [
+    "add_runner_arguments",
+    "build_parser",
+    "default_workers",
+    "main",
+    "print_summary",
+    "resolve_grid",
+    "run_with_runner_flags",
+    "summary_line",
+]

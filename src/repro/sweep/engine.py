@@ -1,21 +1,24 @@
-"""The sweep coordinator: transports, checkpoint file, merged counters.
+"""The campaign core: transports, checkpoint file, merged telemetry.
 
-``run_sweep`` executes a grid's shards over a pluggable
-:class:`~repro.sweep.transport.Transport` — inline, a local process
-pool, or streaming subprocess/SSH workers — and appends each finished
-shard's record to an append-only ``SWEEP_results.jsonl``.  The file is
-the checkpoint: re-running the same grid with ``resume=True`` skips
-every shard whose id is already recorded, so an interrupted campaign
-finishes instead of restarting.
+:func:`run_specs` is the one campaign runner.  It executes a list of
+specs — sweep shards or traffic points; a spec's id field (see
+:data:`~repro.sweep.transport.base.RUNNERS`) says which — over a
+pluggable :class:`~repro.sweep.transport.Transport` (inline, a local
+process pool, or streaming subprocess/SSH workers) and appends each
+finished record to an append-only results file.  The file is the
+checkpoint: re-running the same campaign with ``resume=True`` skips
+every spec whose id is already recorded, so an interrupted campaign
+finishes instead of restarting.  :func:`run_sweep` here and
+:func:`repro.traffic.engine.run_campaign` are thin spec builders over
+it.
 
 Completion order is whatever the transport produces; nothing else is.
-A shard's record depends only on its spec (see
-:mod:`repro.sweep.shard`), and the merged counters are integer sums, so
-any worker count — and any placement of those workers — yields the
-same records and the same totals.  Appends go through
-:class:`~repro.sweep.checkpoint.CheckpointWriter` (one ``os.write`` per
-record on an ``O_APPEND`` descriptor), so an interrupt or a second
-concurrent writer can delay a record but never tear one.
+A record depends only on its spec, and the merged counters and
+telemetry are exact sums, so any worker count — and any placement of
+those workers — yields the same records and the same totals.  Appends
+go through :class:`~repro.sweep.checkpoint.CheckpointWriter` (one
+``os.write`` per record on an ``O_APPEND`` descriptor), so an interrupt
+or a second concurrent writer can delay a record but never tear one.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.observe.counters import Counters
 from repro.observe.sinks import read_jsonl_records
@@ -41,50 +44,55 @@ from repro.sweep.checkpoint import (
 from repro.sweep.grid import SCHEMA, SweepGrid
 from repro.sweep.shard import run_shard_safely
 from repro.sweep.transport import Transport, make_transport
+from repro.sweep.transport.base import id_key, spec_id
 
 assert set(TERMINAL_STATES) == {"finished", "aborted"}, \
-    "run_sweep stamps exactly these terminal heartbeat states"
+    "run_specs stamps exactly these terminal heartbeat states"
+
+
+def read_records(
+    path: str | Path, key: str, **match: object
+) -> tuple[list[dict], int]:
+    """``(records, corrupt)``: the results carrying id field ``key``
+    whose fields equal every non-None ``match`` value.
+
+    Error records (never checkpointed, but a file may be hand-edited)
+    are dropped; unreadable lines, a torn last line included, are
+    counted, so resume re-executes exactly the specs whose lines did
+    not survive.
+    """
+    raw, corrupt = read_jsonl_records(path)
+    records = [
+        record for record in raw
+        if key in record
+        and "error" not in record
+        and all(value is None or record.get(name) == value
+                for name, value in match.items())
+    ]
+    return records, corrupt
 
 
 def read_results(
     path: str | Path, sweep: str | None = None
 ) -> tuple[list[dict], int]:
-    """``(records, corrupt)`` from a results file, damage-tolerant.
-
-    Records are filtered to the current schema, to real results (error
-    records are never checkpointed, but a hand-edited file might hold
-    anything), and — when ``sweep`` is given — to that grid name.
-    Unreadable lines (including a line torn by a crash mid-write) are
-    counted, not silently dropped: resume re-executes exactly the
-    shards whose lines did not survive.
-    """
-    raw, corrupt = read_jsonl_records(path)
-    records = [
-        record for record in raw
-        if record.get("schema") == SCHEMA
-        and "shard" in record
-        and "error" not in record
-        and (sweep is None or record.get("sweep") == sweep)
-    ]
-    return records, corrupt
+    """Sweep records of a results file (of grid ``sweep``, if given)."""
+    return read_records(path, "shard", schema=SCHEMA, sweep=sweep)
 
 
 @dataclass
-class SweepResult:
-    """Outcome of one ``run_sweep`` call."""
+class CampaignResult:
+    """Outcome of one campaign (``run_sweep``, ``run_campaign``)."""
 
-    grid: SweepGrid
     records: list[dict]
-    """Every completed record for the grid — resumed and fresh — sorted
-    by shard id."""
+    """Every completed record — resumed and fresh — sorted by id."""
     counters: Counters
-    """All shards' counter snapshots merged (resumed shards included),
-    so totals are independent of how many runs it took."""
+    """All records' counter snapshots merged (resumed records
+    included), so totals are independent of how many runs it took."""
     executed: int
     skipped: int
-    """Shards skipped because the results file already held them."""
+    """Specs skipped because the results file already held them."""
     telemetry: TelemetryRegistry = field(default_factory=TelemetryRegistry)
-    """All shards' telemetry snapshots merged — counters summed,
+    """All records' telemetry snapshots merged — counters summed,
     histograms merged bucket-exactly — so the deterministic part is
     identical for any worker count (pinned by the differential tests)."""
     failures: list[dict] = field(default_factory=list)
@@ -92,6 +100,8 @@ class SweepResult:
     workers: int = 1
     transport: str = "inline"
     wall_s: float = 0.0
+    grid: SweepGrid | None = None
+    """The grid a sweep expanded; None for other campaigns."""
 
     @property
     def ok(self) -> bool:
@@ -99,39 +109,44 @@ class SweepResult:
 
 
 def resolve_transport(
-    transport: str | Transport | None, workers: int, shard_count: int
+    transport: str | Transport | None, workers: int, spec_count: int
 ) -> Transport:
-    """Turn ``run_sweep``'s transport argument into a live transport.
+    """Turn a campaign's transport argument into a live transport.
 
-    ``None`` keeps the historical behavior: inline for one worker (or
-    one shard — a pool would cost more than it saves), a local pool
-    otherwise.  A string goes through
-    :func:`~repro.sweep.transport.make_transport`; an object is used
-    as-is.  The local transports run ``run_shard_safely`` resolved from
-    this module, which is the monkeypatchable fault-injection seam the
-    tests rely on.
+    ``None`` is inline for one worker (or one spec — a pool would cost
+    more than it saves) and a local pool otherwise.  A string goes
+    through :func:`~repro.sweep.transport.make_transport`; an object is
+    used as-is.
     """
     if transport is None:
-        transport = "inline" if workers <= 1 or shard_count <= 1 else "pool"
+        transport = "inline" if workers <= 1 or spec_count <= 1 else "pool"
     if isinstance(transport, str):
-        return make_transport(transport, workers=workers,
-                              runner=run_shard_safely)
+        return make_transport(transport, workers=workers)
     return transport
 
 
-def run_sweep(
-    grid: SweepGrid,
+def run_specs(
+    specs: list[dict],
+    name: str,
+    match: dict,
     workers: int = 1,
     results_path: str | Path | None = None,
     resume: bool = False,
-    checked: bool = False,
     progress: Callable[[int, int, dict], None] | None = None,
     transport: str | Transport | None = None,
-) -> SweepResult:
-    """Execute ``grid``, checkpointing to ``results_path``.
+) -> CampaignResult:
+    """Execute ``specs``, checkpointing to ``results_path``.
 
     Parameters
     ----------
+    specs:
+        One dict per unit of work, each carrying its id under its
+        kind's id field (``"shard"``, ``"point"``), which picks the
+        runner (:data:`~repro.sweep.transport.base.RUNNERS`).
+    name / match:
+        The campaign name for the heartbeat, and the record fields
+        (schema, campaign name) that mark a results-file record as
+        this campaign's for resume.
     workers:
         Worker count handed to the transport; 1 runs inline (no pool).
         Results are identical for any value — only wall time changes.
@@ -139,54 +154,43 @@ def run_sweep(
         The append-only JSONL checkpoint.  None runs entirely in
         memory (no resume possible).
     resume:
-        Skip shards whose ids are already recorded for this grid name.
+        Skip specs whose ids are already recorded for this campaign.
         Without ``resume``, existing records are ignored *and kept* —
-        the file only ever grows — but every shard re-executes.
-    checked:
-        Route every shard through the :mod:`repro.check` invariant
-        suite (replay audits, mix audits, allocator audits).  A
-        violation fails that shard, never the campaign.
+        the file only ever grows — but every spec re-executes.
     progress:
         Optional ``progress(done, total, record)`` callback, called in
-        the parent as each shard lands — after the record is durably
+        the parent as each record lands — after the record is durably
         appended, so an interrupt inside the callback cannot lose or
         tear the line it was told about.
     transport:
-        Where shards run: ``"inline"``, ``"pool"``, ``"subprocess"``,
-        ``"ssh:host1,host2"`` (see :mod:`repro.sweep.transport`), a
-        :class:`~repro.sweep.transport.Transport` instance, or None
-        for the historical workers-based choice.  Records are
-        bit-identical across all of them.
+        ``"inline"``, ``"pool"``, ``"subprocess"``, ``"ssh:host1,host2"``
+        (see :mod:`repro.sweep.transport`), a transport instance, or
+        None for the workers-based choice.  Records are bit-identical
+        across all of them.
 
-    With a ``results_path``, a live heartbeat lands next to it at
-    ``<results_path>.telemetry.json`` after every fresh shard: progress
-    scalars plus the merged telemetry snapshot so far, written
-    atomically so ``python -m repro top --snapshot`` can follow the
-    campaign from another terminal.  A final heartbeat always lands
-    from a ``finally`` block with a terminal ``state`` —
-    ``"finished"`` when the campaign ran to completion (failed shards
-    included), ``"aborted"`` when the coordinator died mid-campaign —
-    so followers see a dead campaign as dead, never as live forever.
+    With a ``results_path``, a heartbeat lands at
+    ``<results_path>.telemetry.json`` after every fresh record —
+    progress plus the merged telemetry so far, written atomically for
+    ``python -m repro top --snapshot`` — and a final one from a
+    ``finally`` block with a terminal ``state``: ``"finished"`` when the
+    campaign ran to completion (failed specs included), ``"aborted"``
+    when the coordinator died mid-campaign.
     """
     started = time.perf_counter()
     if workers <= 0:
         raise ValueError(f"workers must be positive, got {workers}")
-    shards = list(grid.shards())
 
     prior: list[dict] = []
     corrupt = 0
-    if results_path is not None and resume:
-        prior, corrupt = read_results(results_path, sweep=grid.name)
-    completed = {record["shard"] for record in prior}
-    known = {shard.id for shard in shards}
-    # Only records of shards this grid actually names count as resumed
-    # work; stale records from an edited grid stay in the file, inert.
-    prior = [record for record in prior if record["shard"] in completed & known]
-    pending = [
-        shard.spec(checked=checked)
-        for shard in shards
-        if shard.id not in completed
-    ]
+    if results_path is not None and resume and specs:
+        prior, corrupt = read_records(results_path, id_key(specs[0]),
+                                      **match)
+    # Only records of specs this campaign names count as resumed work;
+    # stale records from an edited campaign stay in the file, inert.
+    known = {spec_id(spec) for spec in specs}
+    prior = [record for record in prior if spec_id(record) in known]
+    completed = {spec_id(record) for record in prior}
+    pending = [spec for spec in specs if spec_id(spec) not in completed]
     carrier = resolve_transport(transport, workers, len(pending))
 
     counters = Counters()
@@ -218,7 +222,7 @@ def run_sweep(
                     # downstream (heartbeat, progress) learns of it.
                     writer.append(record)
                     write_heartbeat(
-                        heartbeat_path(results_path), grid.name,
+                        heartbeat_path(results_path), name,
                         done, len(pending), len(failures), telemetry,
                     )
             if progress is not None:
@@ -231,14 +235,12 @@ def run_sweep(
             # The terminal beat: a follower polling the heartbeat must
             # never spin on a campaign that is no longer running.
             write_heartbeat(
-                heartbeat_path(results_path), grid.name,
+                heartbeat_path(results_path), name,
                 done, len(pending), len(failures), telemetry, state=state,
             )
 
-    records = sorted(prior + fresh, key=lambda record: record["shard"])
-    return SweepResult(
-        grid=grid,
-        records=records,
+    return CampaignResult(
+        records=sorted(prior + fresh, key=spec_id),
         counters=counters,
         executed=len(fresh) + len(failures),
         skipped=len(prior),
@@ -251,8 +253,33 @@ def run_sweep(
     )
 
 
+def run_sweep(
+    grid: SweepGrid,
+    workers: int = 1,
+    results_path: str | Path | None = None,
+    resume: bool = False,
+    checked: bool = False,
+    progress: Callable[[int, int, dict], None] | None = None,
+    transport: str | Transport | None = None,
+) -> CampaignResult:
+    """Execute ``grid``'s shards through :func:`run_specs`.
+
+    ``checked`` routes every shard through the :mod:`repro.check`
+    invariant suite; a violation fails that shard, never the campaign.
+    Shards run this module's ``run_shard_safely``, looked up per shard.
+    """
+    result = run_specs(
+        [shard.spec(checked=checked) for shard in grid.shards()],
+        grid.name, {"schema": SCHEMA, "sweep": grid.name},
+        workers=workers, results_path=results_path, resume=resume,
+        progress=progress, transport=transport,
+    )
+    result.grid = grid
+    return result
+
+
 def heartbeat_path(results_path: str | Path) -> Path:
-    """Where ``run_sweep`` drops its live telemetry heartbeat."""
+    """Where a campaign drops its live telemetry heartbeat."""
     path = Path(results_path)
     return path.with_name(path.name + ".telemetry.json")
 
@@ -270,13 +297,14 @@ def write_heartbeat(
 
     Write-to-temp then :func:`os.replace`, so a follower (``python -m
     repro top --snapshot``) polling the file never reads a torn write.
-    ``state`` is ``"running"`` while shards land and one of
-    :data:`TERMINAL_STATES` from ``run_sweep``'s ``finally`` block —
+    ``sweep`` names the campaign — a sweep grid or a traffic campaign
+    alike.  ``state`` is ``"running"`` while records land and one of
+    :data:`TERMINAL_STATES` from ``run_specs``'s ``finally`` block —
     the marker that tells followers to stop waiting.  Heartbeats are
     best-effort: an unwritable path must not fail the campaign, so OS
     errors are swallowed — but the side file must not outlive a failed
-    publish.  A sweep heartbeats every few shards; if the replace step
-    fails persistently (target directory vanished, permissions
+    publish.  A campaign heartbeats after every record; if the replace
+    step fails persistently (target directory vanished, permissions
     flipped), leaking one ``.tmp`` per beat litters the results
     directory, so cleanup rides a ``finally``.
     """
@@ -342,13 +370,16 @@ def marginals(records: list[dict], axis: str) -> list[tuple]:
 __all__ = [
     "NONDETERMINISTIC_FIELDS",
     "TERMINAL_STATES",
-    "SweepResult",
+    "CampaignResult",
     "canonical_lines",
     "deterministic_telemetry",
     "heartbeat_path",
     "marginals",
+    "read_records",
     "read_results",
     "resolve_transport",
+    "run_shard_safely",
+    "run_specs",
     "run_sweep",
     "strip_nondeterministic",
     "write_heartbeat",

@@ -33,7 +33,6 @@ one deliberately nondeterministic field.
 
 from __future__ import annotations
 
-import os
 import time
 from collections import OrderedDict
 
@@ -53,6 +52,7 @@ from repro.paging.simulate import simulate_trace
 from repro.sim.multiprogramming import MultiprogrammingSimulator, ProgramSpec
 from repro.sim.scheduler import RoundRobinScheduler
 from repro.sweep.grid import SCHEMA, derive_seed
+from repro.sweep.transport.base import run_safely
 from repro.workload.reference import phased_trace
 from repro.workload.requests import exponential_requests, request_schedule
 
@@ -411,42 +411,9 @@ def run_shard(spec: dict) -> dict:
 
 
 def run_shard_safely(spec: dict) -> dict:
-    """``run_shard``, with failures returned as records, never raised.
-
-    The transport's unit of work: a shard that dies (an invariant
-    violation in checked mode, a bad configuration) must not tear down
-    the whole campaign, so the error travels back as an
-    ``{"shard", "error"}`` record the engine counts as failed and does
-    not checkpoint.
-
-    Three fault-injection seams ride in the spec, in the same spirit as
-    :mod:`repro.check`'s seeded fault plans — how the tests (and the CI
-    transport smoke) exercise worker death without a real OOM killer:
-
-    - ``inject_exit_once``: a marker-file path; if the file does not
-      exist yet, create it and die *hard* (``os._exit``, no exception,
-      no cleanup) — the next attempt finds the marker and runs
-      normally.  Simulates a worker lost once to a transient kill.
-    - ``inject_exit``: truthy — die hard on every attempt.  Simulates a
-      shard that kills any worker it lands on, for the give-up path.
-    - ``inject_print``: a string printed to stdout mid-shard, for
-      proving the stream worker's protocol channel is shielded.
-    """
-    marker = spec.get("inject_exit_once")
-    if marker is not None and not os.path.exists(marker):
-        open(marker, "w").close()
-        os._exit(13)
-    if spec.get("inject_exit"):
-        os._exit(13)
-    if spec.get("inject_print"):
-        print(spec["inject_print"])
-    try:
-        return run_shard(spec)
-    except Exception as error:   # noqa: BLE001 — the boundary by design
-        return {
-            "shard": spec.get("shard", "?"),
-            "error": f"{type(error).__name__}: {error}",
-        }
+    """``run_shard`` with failures as ``{"shard", "error"}`` records and
+    the fault-injection seams (``run_safely``)."""
+    return run_safely(run_shard, spec)
 
 
 __all__ = [

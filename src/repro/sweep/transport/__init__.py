@@ -1,8 +1,8 @@
-"""Sweep transports: pluggable worker boundaries for the campaign engine.
+"""Transports: pluggable worker boundaries for the campaign engine.
 
 One protocol (:class:`~repro.sweep.transport.base.Transport`: submit
-shard specs, stream back one result record per spec), three
-implementations:
+specs — sweep shards or traffic points — stream back one result record
+per spec), three implementations:
 
 ==============  ========================================================
 ``inline``      the calling process — serial, zero setup, the reference
@@ -13,7 +13,8 @@ implementations:
 ==============  ========================================================
 
 All three honor the same guarantees — bit-identical records for a fixed
-grid, per-shard failure isolation, bounded retry on transport loss —
+set of specs, per-spec failure isolation, bounded retry on transport
+loss —
 so the engine (and the checkpoint file) cannot tell them apart.  See
 ``docs/SWEEP.md`` for the contract and the worker wire protocol.
 """
@@ -39,19 +40,12 @@ from repro.sweep.transport.stream import (
 TRANSPORT_NAMES = ("inline", "pool", "subprocess", "ssh:HOST[,HOST...]")
 
 
-def make_transport(name: str, workers: int = 1,
-                   runner: Runner | None = None) -> Transport:
-    """Build a transport from its CLI spelling.
-
-    ``runner`` overrides the shard executor for the *local* transports
-    (inline and pool) — the fault-injection seam the tests use; stream
-    workers always run the real :func:`~repro.sweep.shard.run_shard_safely`
-    on their own host.
-    """
+def make_transport(name: str, workers: int = 1) -> Transport:
+    """Build a transport from its CLI spelling."""
     if name == "inline":
-        return InlineTransport(runner=runner)
+        return InlineTransport()
     if name == "pool":
-        return PoolTransport(workers=workers, runner=runner)
+        return PoolTransport(workers=workers)
     if name == "subprocess":
         return StreamTransport(workers=workers)
     if name.startswith("ssh:"):

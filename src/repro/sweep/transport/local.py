@@ -1,11 +1,11 @@
 """In-process and local-pool transports.
 
-:class:`InlineTransport` runs shards in the calling process — the
+:class:`InlineTransport` runs specs in the calling process — the
 ``workers=1`` path, and the reference all other transports are pinned
-against.  :class:`PoolTransport` fans shards over a local process pool;
+against.  :class:`PoolTransport` fans specs over a local process pool;
 unlike the ``imap_unordered`` loop it replaces, it *detects* a worker
 that dies hard (OOM-kill, ``os._exit``) instead of hanging: the broken
-pool surfaces on every in-flight future, each lost shard is requeued
+pool surfaces on every in-flight future, each lost spec is requeued
 through the shared :class:`~repro.sweep.transport.base.RetryLedger`,
 and a fresh pool finishes the campaign.
 """
@@ -16,32 +16,24 @@ import multiprocessing
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
 from typing import Iterable, Iterator
 
-from repro.sweep.transport.base import (
-    DEFAULT_RETRIES,
-    RetryLedger,
-    Runner,
-    default_runner,
-)
+from repro.sweep.transport.base import DEFAULT_RETRIES, RetryLedger, run_spec
 
 
 def _pool_context():
-    """Prefer ``fork`` where offered — markedly faster to start, and the
-    workers import only :mod:`repro.sweep.shard` so spawn also works."""
+    """Prefer ``fork`` where offered — markedly faster to start; the
+    runners are module-level functions, so spawn also works."""
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else None)
 
 
 class InlineTransport:
-    """Run every shard in the calling process, in submission order."""
+    """Run every spec in the calling process, in submission order."""
 
     name = "inline"
 
-    def __init__(self, runner: Runner | None = None) -> None:
-        self.runner = runner if runner is not None else default_runner()
-
     def run(self, specs: Iterable[dict]) -> Iterator[dict]:
         for spec in specs:
-            yield self.runner(spec)
+            yield run_spec(spec)
 
 
 class PoolTransport:
@@ -52,18 +44,17 @@ class PoolTransport:
     worker death: every unfinished future fails with
     :class:`~concurrent.futures.BrokenExecutor`, which this transport
     converts into requeues (bounded by the ledger) on a replacement
-    pool instead of a hung campaign.  A shard that kills every pool it
+    pool instead of a hung campaign.  A spec that kills every pool it
     meets becomes a failure record carrying the pool exception.
     """
 
     name = "pool"
 
-    def __init__(self, workers: int = 2, runner: Runner | None = None,
+    def __init__(self, workers: int = 2,
                  retries: int = DEFAULT_RETRIES) -> None:
         if workers <= 0:
             raise ValueError(f"workers must be positive, got {workers}")
         self.workers = workers
-        self.runner = runner if runner is not None else default_runner()
         self.retries = retries
 
     def run(self, specs: Iterable[dict]) -> Iterator[dict]:
@@ -76,7 +67,7 @@ class PoolTransport:
                 mp_context=_pool_context(),
             )
             try:
-                futures = {executor.submit(self.runner, spec): spec
+                futures = {executor.submit(run_spec, spec): spec
                            for spec in batch}
                 for future in as_completed(futures):
                     spec = futures[future]
@@ -85,7 +76,7 @@ class PoolTransport:
                     except BrokenExecutor as error:
                         # One hard death breaks every in-flight future;
                         # the innocents ride the same requeue as the
-                        # shard that was actually running.
+                        # spec that was actually running.
                         failure = ledger.record_loss(spec, error)
                         if failure is None:
                             pending.append(spec)

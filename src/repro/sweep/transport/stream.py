@@ -1,16 +1,16 @@
-"""The asyncio stream transport: subprocess and SSH shard workers.
+"""The asyncio stream transport: subprocess and SSH campaign workers.
 
 Workers are ``python -m repro.sweep.worker`` processes reached over any
 stdio byte pipe — a plain subprocess for ``local`` hosts, an ``ssh``
 session for remote ones, freely mixed in one campaign (the composite-
 connection idiom: the coordinator neither knows nor cares what carries
 the pipe).  Each worker speaks the line protocol in
-:mod:`repro.sweep.worker`: JSON shard specs down, ``RSLT`` sorted-key
-JSON records back, one in flight per worker.
+:mod:`repro.sweep.worker`: JSON specs (shards or points) down, ``RSLT``
+sorted-key JSON records back, one in flight per worker.
 
 Loss handling mirrors the pool transport, through the same
 :class:`~repro.sweep.transport.base.RetryLedger`: a worker that dies
-mid-shard (connection dropped, process killed) forfeits its in-flight
+mid-spec (connection dropped, process killed) forfeits its in-flight
 spec back to the shared queue — requeued at most ``retries`` times,
 then recorded as failed — and its slot respawns a fresh worker
 (bounded by ``respawns``).  When every slot is dead and respawn budgets
@@ -57,7 +57,7 @@ DEFAULT_HELLO_TIMEOUT = 60.0
 
 
 class TransportLoss(ConnectionError):
-    """A worker (or its pipe) died while a shard was outstanding."""
+    """A worker (or its pipe) died while a spec was outstanding."""
 
 
 def repro_pythonpath() -> str:
@@ -120,7 +120,7 @@ class StreamTransport:
         for installed packages).  Local workers always inherit the
         coordinator's :mod:`repro` location.
     retries / respawns:
-        The loss budgets: per-shard requeues, and per-slot fresh
+        The loss budgets: per-spec requeues, and per-slot fresh
         workers after the first.
     """
 
@@ -199,7 +199,7 @@ class StreamTransport:
         except (OSError, ProcessLookupError):
             pass
 
-    # -- the shard round trip ----------------------------------------------
+    # -- the spec round trip -----------------------------------------------
 
     async def _roundtrip(self, proc: asyncio.subprocess.Process,
                          spec: dict) -> dict:
@@ -211,7 +211,7 @@ class StreamTransport:
             while True:
                 raw = await proc.stdout.readline()
                 if not raw:
-                    raise TransportLoss("worker closed the stream mid-shard")
+                    raise TransportLoss("worker closed the stream mid-spec")
                 line = raw.decode("utf-8", "replace").rstrip("\n")
                 if not line.startswith(RESULT_PREFIX):
                     continue   # stray output; the worker shields, we skip
@@ -229,7 +229,7 @@ class StreamTransport:
     async def _slot(self, host: str, work: collections.deque,
                     ledger: RetryLedger, out: queue.Queue,
                     abort: threading.Event) -> None:
-        """One worker slot: spawn, feed shards, respawn on loss."""
+        """One worker slot: spawn, feed specs, respawn on loss."""
         respawns = self.respawns
         proc = None
         try:
@@ -243,6 +243,8 @@ class StreamTransport:
                             return
                         respawns -= 1
                         continue
+                if not work:
+                    break   # other slots drained the queue during the spawn
                 spec = work.popleft()
                 try:
                     record = await self._roundtrip(proc, spec)

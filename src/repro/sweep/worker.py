@@ -1,4 +1,4 @@
-"""``python -m repro.sweep.worker`` — the stdio shard worker.
+"""``python -m repro.sweep.worker`` — the stdio campaign worker.
 
 The remote end of the stream transport
 (:class:`repro.sweep.transport.stream.StreamTransport`).  The
@@ -6,19 +6,21 @@ coordinator starts this module over any byte pipe it likes — a local
 subprocess, an SSH session — and speaks a line protocol over
 stdin/stdout:
 
-- **in**: one JSON shard spec per line (the dict
-  :meth:`repro.sweep.grid.Shard.spec` produces);
+- **in**: one JSON spec per line — a sweep shard (the dict
+  :meth:`repro.sweep.grid.Shard.spec` produces) or a traffic point
+  (one of :func:`repro.traffic.engine.build_points`'s specs);
 - **out**: first a hello line ``HELO {"schema": ..., "worker": ...}``,
   then one ``RSLT <record>`` line per spec, in request order, where
   ``<record>`` is the sorted-key JSON result record — bit-identical to
-  what :func:`~repro.sweep.shard.run_shard_safely` returns in process,
-  because it *is* that call, serialized.
+  what :func:`~repro.sweep.transport.base.run_spec` returns in process,
+  because it *is* that call, serialized.  ``run_spec`` picks the safe
+  runner of the spec's kind from its id field.
 
 EOF on stdin ends the session.  Every reply line is flushed before the
 next spec is read, so the coordinator sees a record as soon as it
-exists and a killed worker can never leave a half-acknowledged shard.
+exists and a killed worker can never leave a half-acknowledged spec.
 
-Stdout is the protocol channel, so it must stay clean: while a shard
+Stdout is the protocol channel, so it must stay clean: while a spec
 runs, ``sys.stdout`` is redirected to stderr, where stray prints from
 simulator code pass harmlessly through to the coordinator's log
 instead of tearing the record stream.
@@ -31,7 +33,12 @@ import json
 import sys
 from typing import TextIO
 
-from repro.sweep.transport.base import HELLO_PREFIX, RESULT_PREFIX
+from repro.sweep.transport.base import (
+    HELLO_PREFIX,
+    RESULT_PREFIX,
+    error_record,
+    run_spec,
+)
 
 
 def hello_line() -> str:
@@ -47,8 +54,6 @@ def serve(stdin: TextIO | None = None, stdout: TextIO | None = None) -> int:
     """Run the worker loop until EOF on ``stdin``.  Returns exit status."""
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
-    from repro.sweep.shard import run_shard_safely
-
     stdout.write(hello_line() + "\n")
     stdout.flush()
     for line in stdin:
@@ -58,12 +63,12 @@ def serve(stdin: TextIO | None = None, stdout: TextIO | None = None) -> int:
         try:
             spec = json.loads(line)
         except json.JSONDecodeError as error:
-            record = {"shard": "?", "error": f"undecodable spec: {error}"}
+            record = error_record({}, f"undecodable spec: {error}")
         else:
-            # Shield the protocol channel: shard code that prints goes
-            # to stderr, not into the record stream.
+            # Shield the protocol channel: simulator code that prints
+            # goes to stderr, not into the record stream.
             with contextlib.redirect_stdout(sys.stderr):
-                record = run_shard_safely(spec)
+                record = run_spec(spec)
         stdout.write(RESULT_PREFIX + json.dumps(record, sort_keys=True) + "\n")
         stdout.flush()
     return 0

@@ -9,7 +9,9 @@ or sheds against the shared pool's watermarks and per-tenant quotas;
 queue-drain policies (:mod:`~repro.traffic.queueing`) decide who goes
 next, and the engine (:mod:`~repro.traffic.engine`) measures what an
 open system is about: queue-wait and fault-wait *distributions* under
-an offered-load axis, as mergeable log histograms.
+an offered-load axis, as mergeable log histograms.  A campaign's points
+run on the sweep's campaign core (:func:`repro.sweep.engine.run_specs`):
+the same transports, checkpoint file and heartbeat.
 """
 
 from repro.traffic.admission import (
@@ -23,7 +25,6 @@ from repro.traffic.arrivals import ARRIVAL_PROCESSES, make_arrivals
 from repro.traffic.engine import (
     DEFAULT_LOADS,
     TRAFFIC_SCHEMA,
-    TrafficCampaignResult,
     TrafficPointResult,
     build_points,
     compare_campaigns,
@@ -50,7 +51,6 @@ __all__ = [
     "AdmissionController",
     "DrainPolicy",
     "SessionSpec",
-    "TrafficCampaignResult",
     "TrafficPointResult",
     "build_points",
     "compare_campaigns",

@@ -6,12 +6,15 @@ and shedding counts, steady-state throughput, and the p50/p99 queue
 and fault waits from the merged LogHistograms — the open system's
 tail under load.
 
-``--live`` redraws a top-style view as points land; ``--resume`` skips
-points already in the results file; ``--compare`` re-runs every point
-in memory and bit-compares the deterministic fields against the
-recorded records (the reproducibility gate CI keys on).  Exit status is
-1 when any point failed or a comparison mismatched, 2 for bad
-arguments.
+The runner flags are the sweep's, from one definition
+(:func:`repro.sweep.cli.add_runner_arguments`): ``--workers``,
+``--transport`` (inline / pool / subprocess / ``ssh:host,...``),
+``--canon FILE``, ``--live`` (a top-style view as points land),
+``--resume`` (skip points already in the results file) and
+``--no-report``.  ``--compare`` re-runs every recorded point in memory
+and bit-compares the deterministic fields against the recorded records
+(the reproducibility gate CI keys on).  Exit status is 1 when any
+point failed or a comparison mismatched, 2 for bad arguments.
 """
 
 from __future__ import annotations
@@ -19,8 +22,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.metrics.report import format_table, kv_table
-from repro.sweep.cli import default_workers
+from repro.metrics.report import format_table
+from repro.sweep.cli import (
+    add_runner_arguments,
+    print_summary,
+    run_with_runner_flags,
+    summary_line,
+)
 from repro.traffic.arrivals import ARRIVAL_PROCESSES
 from repro.traffic.engine import (
     DEFAULT_LOADS,
@@ -52,22 +60,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--replacement", default="lru", metavar="POLICY",
                         help="per-session replacement policy "
                              "(default: %(default)s)")
-    parser.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="worker processes (default: cores, max 8)")
-    parser.add_argument("--results", default="TRAFFIC_results.jsonl",
-                        metavar="FILE",
-                        help="append-only results file "
-                             "(default: %(default)s)")
-    parser.add_argument("--resume", action="store_true",
-                        help="skip points already present in the "
-                             "results file")
+    add_runner_arguments(parser, "points", "TRAFFIC_results.jsonl")
     parser.add_argument("--compare", action="store_true",
                         help="re-run recorded points in memory and verify "
                              "bit-identical deterministic fields")
-    parser.add_argument("--live", action="store_true",
-                        help="redraw a live dashboard as points land")
-    parser.add_argument("--no-report", action="store_true",
-                        help="suppress the per-load tables")
     parser.add_argument("--seeds", nargs="+", type=int, default=(0,),
                         metavar="SEED")
     parser.add_argument("--base-seed", type=int, default=1967, metavar="N")
@@ -148,21 +144,8 @@ def _load_rows(records: list[dict]) -> list[tuple]:
 
 
 def _print_report(result, name: str) -> None:
-    summary = [
-        ("campaign", name),
-        ("points", len(result.records)),
-        ("executed", result.executed),
-        ("skipped (resumed)", result.skipped),
-        ("failed", len(result.failures)),
-        ("workers", result.workers),
-        ("wall s", result.wall_s),
-    ]
-    if result.corrupt_lines:
-        summary.append(("corrupt result lines", result.corrupt_lines))
-    print(kv_table(summary, title=f"traffic: {name}"))
-    if result.corrupt_lines:
-        print(f"warning: skipped {result.corrupt_lines} unreadable "
-              "line(s) in the results file — it may be damaged")
+    print_summary(result, f"traffic: {name}",
+                  [("campaign", name), ("points", len(result.records))])
 
     if result.records:
         print()
@@ -206,30 +189,20 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    workers = options.workers if options.workers else default_workers()
 
     if options.compare:
         return _compare(points, options)
 
     progress = TrafficLiveView(options.name).update if options.live else None
-    result = run_campaign(
-        points,
-        workers=workers,
-        results_path=options.results,
-        resume=options.resume,
-        progress=progress,
-    )
+    result = run_with_runner_flags(run_campaign, points, options,
+                                   progress=progress)
+    if result is None:
+        return 2
 
-    if options.no_report:
-        print(f"traffic: {options.name}  executed {result.executed}  "
-              f"skipped {result.skipped}  failed {len(result.failures)}")
-    else:
+    if not options.no_report:
         _print_report(result, options.name)
-        print(f"\nexecuted {result.executed}  skipped {result.skipped}  "
-              f"failed {len(result.failures)}")
-    for failure in result.failures:
-        print(f"FAILED {failure['point']}: {failure['error']}",
-              file=sys.stderr)
+        print()
+    print(summary_line("traffic", options.name, result))
     return 0 if result.ok else 1
 
 
@@ -252,14 +225,11 @@ def _compare(points: list[dict], options: argparse.Namespace) -> int:
               "run the same flags without --compare first",
               file=sys.stderr)
         return 2
-    fresh = run_campaign(
-        targets, workers=options.workers or default_workers(),
-        results_path=None,
-    )
+    fresh = run_with_runner_flags(run_campaign, targets, options,
+                                  results_path=None, resume=False)
+    if fresh is None:
+        return 2
     if fresh.failures:
-        for failure in fresh.failures:
-            print(f"FAILED {failure['point']}: {failure['error']}",
-                  file=sys.stderr)
         return 1
     mismatched = compare_campaigns(fresh.records, recorded)
     if mismatched:

@@ -68,7 +68,11 @@ class TestDeterminism:
         ]
 
     def test_wall_time_is_the_only_tolerated_field(self):
-        assert NONDETERMINISTIC_FIELDS == ("wall_s",)
+        # refs_per_s is a traffic point's throughput, derived from its
+        # wall time; a sweep record carries wall_s alone.
+        assert NONDETERMINISTIC_FIELDS == ("wall_s", "refs_per_s")
+        shard = next(iter(tiny_grid().shards()))
+        assert "refs_per_s" not in run_shard(shard.spec())
         record = {"shard": "x", "wall_s": 1.0, "faults": 3}
         assert strip_nondeterministic(record) == {"shard": "x", "faults": 3}
 

@@ -43,6 +43,35 @@ class TestRuns:
             run(tmp_path, "--arrivals", "sawtooth")
 
 
+class TestRunnerFlags:
+    """The runner flags are the sweep's, with the sweep's behaviour."""
+
+    def test_negative_workers_is_a_usage_error(self, tmp_path, capsys):
+        assert run(tmp_path, "--workers", "-1") == 2
+        assert "error: workers must be positive, got -1" in \
+            capsys.readouterr().err
+
+    def test_unknown_transport_is_a_usage_error(self, tmp_path, capsys):
+        assert run(tmp_path, "--transport", "carrier-pigeon") == 2
+        assert "unknown transport" in capsys.readouterr().err
+
+    def test_summary_names_the_transport(self, tmp_path, capsys):
+        assert run(tmp_path, "--transport", "inline") == 0
+        assert "transport inline" in capsys.readouterr().out
+
+    def test_canon_files_are_byte_identical_across_transports(
+            self, tmp_path):
+        canons = {}
+        for name in ("inline", "pool"):
+            canon = tmp_path / f"canon_{name}.jsonl"
+            assert run(tmp_path, "--seeds", "0", "1", "--transport", name,
+                       "--workers", "2", "--no-report",
+                       "--canon", str(canon)) == 0
+            canons[name] = canon.read_bytes()
+        assert canons["inline"] == canons["pool"]
+        assert len(canons["inline"].splitlines()) == 2
+
+
 class TestCompareGate:
     def test_recorded_campaign_reproduces(self, tmp_path, capsys):
         run(tmp_path)
